@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-record bench-drift frontdoor-smoke bench-record-frontdoor bench-drift-frontdoor bench-record-cluster bench-drift-cluster churn-smoke qscale-smoke crashrec-smoke chaos-smoke cluster-smoke selfheal-smoke clean
+.PHONY: all build vet test race bench bench-smoke bench-record bench-drift frontdoor-smoke bench-record-frontdoor bench-drift-frontdoor bench-record-cluster bench-drift-cluster churn-smoke qscale-smoke crashrec-smoke chaos-smoke cluster-smoke selfheal-smoke perfbench-smoke clean
 
 # The columnar hot-path benchmarks: each has /before (row-map era) and
 # /after (columnar) variants so the committed record carries its own
@@ -73,12 +73,21 @@ cluster-smoke:
 selfheal-smoke:
 	$(GO) run -race ./cmd/aortabench -exp selfheal
 
+# The repository benchmark's own checks. perfbench is a module of its
+# own, so the root `go test ./...` never runs its self-test; the 5-second
+# stmt_read run exits non-zero unless every answer was correct.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload stmt_read --seed 1 --seconds 5 --trace 0
+
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# One iteration of every match/core/scanshare benchmark under the race
-# detector: catches bit-rot (and data races) in the benchmark code
-# itself without paying for real measurements.
+# One iteration of every match/core/scanshare/frontdoor/cluster benchmark
+# under the race detector: catches bit-rot (and data races) in the
+# benchmark code itself without paying for real measurements. Includes
+# core's BenchmarkAdhocPinnedSelect, whose reads/op (1 with the
+# acquisition pushdown) and allocs/op are host-stable.
 bench-smoke:
 	$(GO) test -race -run xxx -bench . -benchtime=1x $(BENCH_PKGS)
 

@@ -408,28 +408,27 @@ func (l *Layer) Device(id string) (*DeviceInfo, bool) {
 	return d.clone(), true
 }
 
-// DevicesOfType returns all registered devices of the given type, sorted
-// by ID for determinism.
-func (l *Layer) DevicesOfType(deviceType string) []*DeviceInfo {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []*DeviceInfo
-	for _, d := range l.devices {
-		if d.Type == deviceType {
-			out = append(out, d.clone())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// CountDevices reports how many registered devices of a type the filter
+// admits and how many are registered, without copying any registry entry.
+func (l *Layer) CountDevices(deviceType string, filter *DeviceFilter) (admitted, registered int) {
+	return len(l.devicesFor(deviceType, filter)), len(l.devicesFor(deviceType, nil))
 }
 
-// devicesOfTypeRef returns the registry's own entries for a device type,
-// sorted by ID — no cloning. Registry entries are immutable after
-// Register, so internal hot paths (scans) read them in place instead of
-// deep-copying every device's Static map per epoch. Callers must not
-// mutate the returned entries.
-func (l *Layer) devicesOfTypeRef(deviceType string) []*DeviceInfo {
+// devicesFor returns the registry's own entries for a device type that the
+// filter admits, sorted by ID — no cloning. Registry entries are immutable
+// after Register, so internal hot paths (scans) read them in place instead
+// of deep-copying every device's Static map per epoch. Callers must not
+// mutate the returned entries. A filter naming an ID is one map lookup.
+func (l *Layer) devicesFor(deviceType string, filter *DeviceFilter) []*DeviceInfo {
 	l.mu.RLock()
+	if filter != nil && filter.ID != "" {
+		d, ok := l.devices[filter.ID]
+		l.mu.RUnlock()
+		if !ok || d.Type != deviceType || !filter.admits(d) {
+			return nil
+		}
+		return []*DeviceInfo{d}
+	}
 	var out []*DeviceInfo
 	for _, d := range l.devices {
 		if d.Type == deviceType {
@@ -437,8 +436,15 @@ func (l *Layer) devicesOfTypeRef(deviceType string) []*DeviceInfo {
 		}
 	}
 	l.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	// The filter runs outside the lock: it is caller code.
+	kept := out[:0]
+	for _, d := range out {
+		if filter.admits(d) {
+			kept = append(kept, d)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].ID < kept[j].ID })
+	return kept
 }
 
 // Devices returns all registered devices sorted by ID.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,9 +93,11 @@ func TestDeviceLookups(t *testing.T) {
 	if _, ok := f.layer.Device("ghost"); ok {
 		t.Error("found unregistered device")
 	}
-	cams := f.layer.DevicesOfType("camera")
-	if len(cams) != 2 || cams[0].ID != "camera-1" || cams[1].ID != "camera-2" {
-		t.Errorf("DevicesOfType(camera) = %v", cams)
+	if n, total := f.layer.CountDevices("camera", nil); n != 2 || total != 2 {
+		t.Errorf("CountDevices(camera) = %d of %d, want 2 of 2", n, total)
+	}
+	if n, total := f.layer.CountDevices("camera", &DeviceFilter{ID: "camera-2"}); n != 1 || total != 2 {
+		t.Errorf("CountDevices(camera, id=camera-2) = %d of %d, want 1 of 2", n, total)
 	}
 	if all := f.layer.Devices(); len(all) != 5 {
 		t.Errorf("Devices() = %d entries, want 5", len(all))
@@ -292,6 +295,47 @@ func TestScanMoteTable(t *testing.T) {
 	}
 	if tuples[0]["loc"] == nil {
 		t.Error("static loc missing from tuple")
+	}
+}
+
+// TestScanBatchFilter: a filtered scan acquires only the devices the
+// filter admits — an id resolves by registry lookup and only for its own
+// type — and reads nothing from the rest.
+func TestScanBatchFilter(t *testing.T) {
+	f := newFarm(t)
+	ctx := context.Background()
+	deep := func(d *DeviceInfo) bool { return d.Static["depth"] == 2 }
+	for _, tt := range []struct {
+		name   string
+		filter *DeviceFilter
+		want   []string
+	}{
+		{"nil", nil, []string{"mote-1", "mote-2"}},
+		{"id", &DeviceFilter{ID: "mote-2"}, []string{"mote-2"}},
+		{"unknown id", &DeviceFilter{ID: "ghost"}, nil},
+		{"id of other type", &DeviceFilter{ID: "camera-1"}, nil},
+		{"keep", &DeviceFilter{Keep: deep}, []string{"mote-2"}},
+		{"id rejected by keep", &DeviceFilter{ID: "mote-1", Keep: deep}, nil},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			before := f.layer.Metrics().Reads.Load()
+			b, report, err := f.layer.ScanBatch(ctx, "sensor", []string{"accel_x"}, tt.filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Release()
+			var got []string
+			for i := 0; i < b.Len(); i++ {
+				id, _ := b.ColByName("id").Str(i)
+				got = append(got, id)
+			}
+			if !reflect.DeepEqual(got, tt.want) || report.Scanned != len(tt.want) {
+				t.Errorf("scanned %v (report %+v), want %v", got, report, tt.want)
+			}
+			if reads := f.layer.Metrics().Reads.Load() - before; reads != int64(len(tt.want)) {
+				t.Errorf("reads = %d, want %d", reads, len(tt.want))
+			}
+		})
 	}
 }
 

@@ -87,9 +87,28 @@ func (l *Layer) scanPlanFor(deviceType string, attrs []string) (*scanPlan, error
 	return p, nil
 }
 
+// DeviceFilter narrows a scan to the registered devices whose registry
+// (non-sensory) values can satisfy the statement being evaluated: the
+// acquisition pushdown. A device the filter rejects is neither dialed nor
+// read and contributes no row. A nil filter admits every device.
+type DeviceFilter struct {
+	// ID, when non-empty, admits only the device with this ID, resolved by
+	// direct registry lookup rather than a type-wide listing.
+	ID string
+	// Keep, when non-nil, admits only the registry entries it accepts. It
+	// must not mutate the entry.
+	Keep func(*DeviceInfo) bool
+}
+
+// admits reports whether the filter passes one registry entry of the
+// scanned type.
+func (f *DeviceFilter) admits(d *DeviceInfo) bool {
+	return f == nil || (f.ID == "" || f.ID == d.ID) && (f.Keep == nil || f.Keep(d))
+}
+
 // ScanBatch materializes the virtual relational table for a device type as
 // one columnar batch: one row per currently reachable device of that type
-// (paper §3.2), one typed column per attribute.
+// (paper §3.2) that the filter admits, one typed column per attribute.
 //
 // attrs selects the columns; nil means every attribute in the device
 // type's catalog, and "id" is always included. Non-sensory attributes come
@@ -99,13 +118,13 @@ func (l *Layer) scanPlanFor(deviceType string, attrs []string) (*scanPlan, error
 //
 // The returned batch is reference-counted with one reference held by the
 // caller, who must Release it when done.
-func (l *Layer) ScanBatch(ctx context.Context, deviceType string, attrs []string) (*Batch, *ScanReport, error) {
+func (l *Layer) ScanBatch(ctx context.Context, deviceType string, attrs []string, filter *DeviceFilter) (*Batch, *ScanReport, error) {
 	plan, err := l.scanPlanFor(deviceType, attrs)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	devices := l.devicesOfTypeRef(deviceType)
+	devices := l.devicesFor(deviceType, filter)
 	nCols := plan.schema.Len()
 
 	// Each device goroutine fills its own slice of one flat scratch
@@ -145,7 +164,7 @@ func (l *Layer) ScanBatch(ctx context.Context, deviceType string, attrs []string
 // materializes the batch as []Tuple and releases it. New code should use
 // ScanBatch and keep the columnar form.
 func (l *Layer) Scan(ctx context.Context, deviceType string, attrs []string) ([]Tuple, *ScanReport, error) {
-	b, report, err := l.ScanBatch(ctx, deviceType, attrs)
+	b, report, err := l.ScanBatch(ctx, deviceType, attrs, nil)
 	if err != nil {
 		return nil, nil, err
 	}

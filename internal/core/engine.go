@@ -335,7 +335,7 @@ func New(cfg Config) (*Engine, error) {
 	// The fabric scans through the layer, so pooled sessions, dial backoff,
 	// circuit breakers and the liveness gate all apply to shared scans.
 	e.fabric = scanshare.New(clk, func(ctx context.Context, deviceType string, attrs []string) (*comm.Batch, error) {
-		b, _, err := layer.ScanBatch(ctx, deviceType, attrs)
+		b, _, err := layer.ScanBatch(ctx, deviceType, attrs, nil)
 		return b, err
 	})
 	if !cfg.DisableLiveness {
@@ -1088,18 +1088,31 @@ func (e *Engine) execShow(what string) (*ExecResult, error) {
 // explain renders a compiled query's physical plan, one line per
 // operator, bottom-up: scans → filter → action/projection.
 func (e *Engine) explain(q *Query) []string {
+	adhoc := q.sel.Every <= 0
 	var out []string
-	out = append(out, fmt.Sprintf("continuous query (epoch %s)", q.Epoch))
+	if adhoc {
+		out = append(out, "ad-hoc query")
+	} else {
+		out = append(out, fmt.Sprintf("continuous query (epoch %s)", q.Epoch))
+	}
 	for _, bt := range q.tables {
-		devices := len(e.layer.DevicesOfType(bt.deviceType))
-		line := fmt.Sprintf("  scan %s as %s [%s] (%d devices registered",
-			bt.deviceType, bt.alias, strings.Join(bt.attrs, ", "), devices)
-		if len(bt.preds) > 0 {
-			var ps []string
-			for _, p := range bt.preds {
-				ps = append(ps, fmt.Sprintf("%s %s %v", p.Attr, p.Op, p.Value))
+		line := fmt.Sprintf("  scan %s as %s [%s] (", bt.deviceType, bt.alias, strings.Join(bt.attrs, ", "))
+		if adhoc {
+			// An ad-hoc scan pushes its static conjuncts into the
+			// communication layer; the fabric behind a continuous query
+			// acquires every device and routes on the extracted conjuncts.
+			pushed, filter := e.pushdown(bt)
+			admitted, registered := e.layer.CountDevices(bt.deviceType, filter)
+			line += fmt.Sprintf("acquires %d of %d devices", admitted, registered)
+			if len(pushed) > 0 {
+				line += ", pushed " + joinPreds(pushed)
 			}
-			line += ", routed on " + strings.Join(ps, " AND ")
+		} else {
+			_, registered := e.layer.CountDevices(bt.deviceType, nil)
+			line += fmt.Sprintf("%d devices registered", registered)
+			if len(bt.preds) > 0 {
+				line += ", routed on " + joinPreds(bt.preds)
+			}
 		}
 		out = append(out, line+")")
 	}

@@ -338,10 +338,66 @@ func walkExprs(e sqlparse.Expr, fn func(sqlparse.Expr)) {
 	}
 }
 
+// pushdown selects the conjuncts of bt.preds an ad-hoc scan evaluates
+// against the registry before acquiring anything, and the device filter
+// that applies them (nil when there are none). A conjunct is pushed when
+// its attribute is non-sensory and its literal has the attribute's
+// catalog kind; any other conjunct (s.id = 5) stays in WHERE, which keeps
+// its typed comparison error. An id equality becomes a direct registry
+// lookup. A device a pushed conjunct rejects never reaches the rest of
+// WHERE — the rule the fabric's predicate index already applies to
+// continuous queries.
+func (e *Engine) pushdown(bt boundTable) ([]match.Predicate, *comm.DeviceFilter) {
+	cat, ok := e.reg.Catalog(bt.deviceType)
+	if !ok || len(bt.preds) == 0 {
+		return nil, nil
+	}
+	var pushed []match.Predicate
+	for _, p := range bt.preds {
+		// Extracted literals are strings or float64 numbers.
+		kind := comm.KindFloat
+		if _, ok := p.Value.(string); ok {
+			kind = comm.KindString
+		}
+		def, ok := cat.Attr(p.Attr)
+		if ok && !def.Sensory && comm.KindOf(def.Type) == kind {
+			pushed = append(pushed, p)
+		}
+	}
+	if len(pushed) == 0 {
+		return nil, nil
+	}
+	filter := &comm.DeviceFilter{Keep: func(d *comm.DeviceInfo) bool {
+		for _, p := range pushed {
+			if !p.Eval(d.Static[p.Attr]) {
+				return false
+			}
+		}
+		return true
+	}}
+	for _, p := range pushed {
+		if p.Attr == "id" && p.Op == match.OpEQ {
+			filter.ID = p.Value.(string)
+			break
+		}
+	}
+	return pushed, filter
+}
+
+// joinPreds renders conjuncts for EXPLAIN, string literals quoted.
+func joinPreds(preds []match.Predicate) string {
+	parts := make([]string, len(preds))
+	for i, p := range preds {
+		parts[i] = p.Attr + " " + p.Op + " " + (&sqlparse.Literal{Value: p.Value}).String()
+	}
+	return strings.Join(parts, " AND ")
+}
+
 // evalOnce performs one evaluation epoch: scan, join, filter, and either
 // emit action requests or produce projected rows. Ad-hoc statements use
-// this direct path; continuous queries receive their scans from the shared
-// fabric and enter at evalScanned.
+// this direct path, acquiring only the devices their static conjuncts
+// admit; continuous queries receive their scans from the shared fabric
+// and enter at evalScanned.
 func (e *Engine) evalOnce(ctx context.Context, q *Query) ([]map[string]any, error) {
 	// Scan every table into a columnar batch. Unreachable devices simply
 	// produce no row.
@@ -352,7 +408,8 @@ func (e *Engine) evalOnce(ctx context.Context, q *Query) ([]map[string]any, erro
 		}
 	}()
 	for _, bt := range q.tables {
-		b, _, err := e.layer.ScanBatch(ctx, bt.deviceType, bt.attrs)
+		_, filter := e.pushdown(bt)
+		b, _, err := e.layer.ScanBatch(ctx, bt.deviceType, bt.attrs, filter)
 		if err != nil {
 			return nil, err
 		}
