@@ -5,7 +5,7 @@ GO ?= go
 # The columnar hot-path benchmarks: each has /before (row-map era) and
 # /after (columnar) variants so the committed record carries its own
 # baseline.
-BENCH_PKGS = ./internal/match/ ./internal/core/ ./internal/scanshare/ ./internal/frontdoor/ ./internal/cluster/
+BENCH_PKGS = ./internal/match/ ./internal/core/ ./internal/scanshare/ ./internal/frontdoor/ ./internal/cluster/ ./internal/comm/
 BENCH_RE   = 'RoutePath|PredicateCompile|ScanFanout'
 # The front-door pipelining benchmark keeps its own record: its numbers
 # move with scheduler behaviour, not routing code.
@@ -75,19 +75,22 @@ selfheal-smoke:
 
 # The repository benchmark's own checks. perfbench is a module of its
 # own, so the root `go test ./...` never runs its self-test; the 5-second
-# stmt_read run exits non-zero unless every answer was correct.
+# stmt_read (statement path) and event_scan (event path) runs exit
+# non-zero unless every answer was correct.
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 	bash perfbench/run.sh --workload stmt_read --seed 1 --seconds 5 --trace 0
+	bash perfbench/run.sh --workload event_scan --seed 1 --seconds 5 --trace 0
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# One iteration of every match/core/scanshare/frontdoor/cluster benchmark
-# under the race detector: catches bit-rot (and data races) in the
-# benchmark code itself without paying for real measurements. Includes
+# One iteration of every match/core/scanshare/frontdoor/cluster/comm
+# benchmark under the race detector: catches bit-rot (and data races) in
+# the benchmark code itself without paying for real measurements. Includes
 # core's BenchmarkAdhocPinnedSelect, whose reads/op (1 with the
-# acquisition pushdown) and allocs/op are host-stable.
+# acquisition pushdown) and allocs/op are host-stable, and comm's
+# BenchmarkScanBatchFarm, whose dials/op is 0 once the pool is warm.
 bench-smoke:
 	$(GO) test -race -run xxx -bench . -benchtime=1x $(BENCH_PKGS)
 

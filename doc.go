@@ -38,8 +38,8 @@
 //     connections are pooled: operations share one persistent,
 //     health-checked session per device, and devices that refuse a dial
 //     enter exponential backoff instead of being re-dialed every epoch.
-//     Config.PoolMaxSessions, Config.PoolIdleTTL and Config.DialBackoff
-//     tune the pool.
+//     Config.PoolMaxSessions (no cap by default: the registry bounds the
+//     sessions), Config.PoolIdleTTL and Config.DialBackoff tune the pool.
 //
 // # Quick start
 //

@@ -22,11 +22,11 @@
 // On top of the paper's per-interaction connect()/close() surface the
 // layer runs a pooled transport (pool.go): sessions persist across
 // operations keyed by device ID, reuse is health-checked, idle sessions
-// are reaped, the pool is LRU-capped, and devices that refuse a dial
-// enter an exponential backoff during which they are skipped without
-// dialing — still contributing no tuple, so network data independence is
-// preserved while a whole epoch of a continuous query no longer re-dials
-// every sensor.
+// are reaped, an optional soft cap evicts by LRU, and devices that refuse
+// a dial enter an exponential backoff during which they are skipped
+// without dialing — still contributing no tuple, so network data
+// independence is preserved while a whole epoch of a continuous query no
+// longer re-dials every sensor.
 package comm
 
 import (
@@ -462,29 +462,40 @@ func (l *Layer) Devices() []*DeviceInfo {
 // Session is an open connection to one device: the connect()/close()/
 // send()/receive() surface of paper §3.3.
 //
-// A single reader goroutine owns the connection's receive side and routes
-// responses to requesters by sequence number, so a request that times out
-// cannot desynchronize later requests on the same session. Sessions are
-// safe for concurrent use.
+// Two long-lived goroutines own the connection. The writer sends requests
+// in hand-off order, so a request that times out while its frame crawls
+// over a slow link is abandoned by its requester and still completes in
+// the background. The reader routes responses to requesters by sequence
+// number, so a late response cannot desynchronize later requests on the
+// same session. Sessions are safe for concurrent use.
 type Session struct {
 	layer *Layer
 	info  *DeviceInfo
 	conn  net.Conn
 
-	writeMu sync.Mutex
-	seq     atomic.Uint64
+	seq    atomic.Uint64
+	writes chan *call
 	// broken is set the instant a frame write fails: the stream may hold
 	// a half-written frame, so the session is dead even if the reader
 	// goroutine has not yet observed the closed connection.
 	broken atomic.Bool
 
 	mu      sync.Mutex
-	pending map[uint64]chan *wire.Message
+	pending map[uint64]*call
 	readErr error
 	done    chan struct{}
 
 	closeOnce sync.Once
-	readerWG  sync.WaitGroup
+	loops     sync.WaitGroup
+}
+
+// call is one request in flight. Exactly one of the writer (on a failed
+// send, with err set) or the reader (with the device's response) claims it
+// out of Session.pending and delivers on resp.
+type call struct {
+	msg  wire.Message
+	resp chan *wire.Message
+	err  error
 }
 
 // Connect opens a dedicated (unpooled) session to the device, respecting
@@ -513,11 +524,13 @@ func (l *Layer) Connect(ctx context.Context, id string) (*Session, error) {
 		layer:   l,
 		info:    info.clone(),
 		conn:    conn,
-		pending: make(map[uint64]chan *wire.Message),
+		writes:  make(chan *call),
+		pending: make(map[uint64]*call),
 		done:    make(chan struct{}),
 	}
-	s.readerWG.Add(1)
+	s.loops.Add(2)
 	go s.readLoop()
+	go s.writeLoop()
 	return s, nil
 }
 
@@ -525,7 +538,7 @@ func (l *Layer) Connect(ctx context.Context, id string) (*Session, error) {
 // frame to the requester waiting on its sequence number, discarding
 // responses whose requester already timed out.
 func (s *Session) readLoop() {
-	defer s.readerWG.Done()
+	defer s.loops.Done()
 	for {
 		resp, err := wire.ReadFrame(s.conn)
 		if err != nil {
@@ -536,14 +549,40 @@ func (s *Session) readLoop() {
 			s.mu.Unlock()
 			return
 		}
-		s.mu.Lock()
-		ch := s.pending[resp.Seq]
-		delete(s.pending, resp.Seq)
-		s.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if c := s.claim(resp.Seq); c != nil {
+			c.resp <- resp
 		}
 	}
+}
+
+// writeLoop is the session's single sender. It exits once the reader has
+// seen the connection close.
+func (s *Session) writeLoop() {
+	defer s.loops.Done()
+	for {
+		select {
+		case c := <-s.writes:
+			if err := wire.WriteFrame(s.conn, &c.msg); err != nil {
+				s.broken.Store(true)
+				if s.claim(c.msg.Seq) == c {
+					c.err = fmt.Errorf("comm: send to %s: %w", s.info.ID, err)
+					c.resp <- nil
+				}
+			}
+		case <-s.done:
+			return
+		}
+	}
+}
+
+// claim removes and returns the call waiting on seq, or nil if its
+// requester has given up.
+func (s *Session) claim(seq uint64) *call {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.pending[seq]
+	delete(s.pending, seq)
+	return c
 }
 
 // alive reports whether the session is still usable — the pool's
@@ -564,12 +603,12 @@ func (s *Session) alive() bool {
 }
 
 // Close implements close(): it releases the connection and waits for the
-// reader to exit.
+// reader and the writer to exit.
 func (s *Session) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		err = s.conn.Close()
-		s.readerWG.Wait()
+		s.loops.Wait()
 	})
 	return err
 }
@@ -583,55 +622,35 @@ func (s *Session) roundTrip(ctx context.Context, msg wire.Message) (*wire.Messag
 	tctx, cancel := vclock.WithTimeout(ctx, s.layer.clk, timeout)
 	defer cancel()
 
-	msg.Seq = s.seq.Add(1)
-	msg.Device = s.info.ID
-
-	ch := make(chan *wire.Message, 1)
+	c := &call{msg: msg, resp: make(chan *wire.Message, 1)}
+	c.msg.Seq = s.seq.Add(1)
+	c.msg.Device = s.info.ID
 	s.mu.Lock()
 	if s.readErr != nil {
 		err := s.readErr
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.pending[msg.Seq] = ch
+	s.pending[c.msg.Seq] = c
 	s.mu.Unlock()
-	unregister := func() {
-		s.mu.Lock()
-		if s.pending != nil {
-			delete(s.pending, msg.Seq)
-		}
-		s.mu.Unlock()
-	}
 
-	// send() on a goroutine so TIMEOUT can break a write to a hung or
-	// congested device.
-	writeErr := make(chan error, 1)
-	go func() {
-		s.writeMu.Lock()
-		defer s.writeMu.Unlock()
-		writeErr <- wire.WriteFrame(s.conn, &msg)
-	}()
-
+	// send(): hand the request to the writer. TIMEOUT breaks the wait for
+	// a writer still busy with an earlier frame to a hung or congested
+	// device.
 	select {
-	case err := <-writeErr:
-		if err != nil {
-			s.broken.Store(true)
-			unregister()
-			return nil, fmt.Errorf("comm: send to %s: %w", s.info.ID, err)
-		}
+	case s.writes <- c:
 	case <-tctx.Done():
-		unregister()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("comm: %s: %w", s.info.ID, ctx.Err())
-		}
-		return nil, fmt.Errorf("%w: %s did not accept the request within %v", ErrTimeout, s.info.ID, timeout)
+		s.claim(c.msg.Seq)
+		return nil, s.timeoutError(ctx, "accept the request", timeout)
 	case <-s.done:
-		unregister()
 		return nil, s.readError()
 	}
 
 	select {
-	case resp := <-ch:
+	case resp := <-c.resp:
+		if resp == nil {
+			return nil, c.err
+		}
 		if resp.Type == wire.TypeError {
 			var ep wire.ErrorPayload
 			if err := wire.DecodePayload(resp, &ep); err != nil {
@@ -641,15 +660,20 @@ func (s *Session) roundTrip(ctx context.Context, msg wire.Message) (*wire.Messag
 		}
 		return resp, nil
 	case <-tctx.Done():
-		unregister()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("comm: %s: %w", s.info.ID, ctx.Err())
-		}
-		return nil, fmt.Errorf("%w: %s did not answer within %v", ErrTimeout, s.info.ID, timeout)
+		s.claim(c.msg.Seq)
+		return nil, s.timeoutError(ctx, "answer", timeout)
 	case <-s.done:
-		unregister()
 		return nil, s.readError()
 	}
+}
+
+// timeoutError reports an expired request: the caller's own cancellation
+// when that is what ended it, ErrTimeout otherwise.
+func (s *Session) timeoutError(ctx context.Context, what string, timeout time.Duration) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("comm: %s: %w", s.info.ID, ctx.Err())
+	}
+	return fmt.Errorf("%w: %s did not %s within %v", ErrTimeout, s.info.ID, what, timeout)
 }
 
 // readError returns the reader's terminal error.

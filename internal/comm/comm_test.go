@@ -224,6 +224,9 @@ func TestReadAttrSensoryAndStatic(t *testing.T) {
 
 func TestExecActionOnPhone(t *testing.T) {
 	f := newFarm(t)
+	// send_sms takes 1.5 virtual seconds; the default 2-second TIMEOUT
+	// would leave only 5 ms of wall time at the farm's 100x scale.
+	f.layer.SetTimeout("phone", 30*time.Second)
 	res, err := f.layer.Exec(context.Background(), "phone-1", "send_sms", &phone.SMSArgs{Text: "hi"})
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,6 @@ import (
 // Pool tuning defaults. All durations are measured on the layer's clock,
 // so a scaled lab reaps idle sessions and expires backoff in virtual time.
 const (
-	// DefaultPoolMaxSessions caps concurrently open pooled sessions.
-	DefaultPoolMaxSessions = 128
 	// DefaultPoolIdleTTL is how long an unused session survives before the
 	// pool reaps it.
 	DefaultPoolIdleTTL = 60 * time.Second
@@ -35,10 +33,11 @@ var ErrBackoff = errors.New("comm: device in dial backoff")
 // PoolConfig tunes the layer's transport pool.
 type PoolConfig struct {
 	// MaxSessions caps concurrently open sessions; beyond it the
-	// least-recently-used idle session is evicted. 0 selects
-	// DefaultPoolMaxSessions. Negative disables pooling entirely: every
-	// operation dials and closes its own connection (the pre-pool
-	// behaviour, kept for comparison benchmarks).
+	// least-recently-used idle session is evicted. The cap is soft: busy
+	// sessions are never evicted. 0 means no cap — the registry bounds the
+	// sessions and IdleTTL reclaims idle ones. Negative disables pooling
+	// entirely: every operation dials and closes its own connection (the
+	// pre-pool behaviour, kept for comparison benchmarks).
 	MaxSessions int
 	// IdleTTL reaps sessions unused for this long. 0 selects
 	// DefaultPoolIdleTTL; negative keeps idle sessions forever.
@@ -54,9 +53,6 @@ type PoolConfig struct {
 
 // resolve fills zero values with the defaults.
 func (c PoolConfig) resolve() PoolConfig {
-	if c.MaxSessions == 0 {
-		c.MaxSessions = DefaultPoolMaxSessions
-	}
 	if c.IdleTTL == 0 {
 		c.IdleTTL = DefaultPoolIdleTTL
 	}
@@ -77,6 +73,12 @@ func (c PoolConfig) resolve() PoolConfig {
 // share one live session (Session is safe for concurrent use), and the
 // per-entry dial mutex serializes dialing so simultaneous cache misses
 // produce exactly one dial instead of racing.
+//
+// Bookkeeping is O(1) per operation: Metrics.OpenSessions counts live
+// sessions, and idle lists the sessions nobody borrows in release order,
+// so its front is both the least recently used (the cap's eviction
+// victim) and the first to pass its idle TTL (reaping stops at the first
+// entry still inside it).
 type pool struct {
 	layer *Layer
 
@@ -84,11 +86,13 @@ type pool struct {
 	cfg     PoolConfig
 	entries map[string]*poolEntry
 	backoff map[string]*backoffState
+	idle    idleList
 }
 
-// poolEntry is the pool's per-device slot. refs, sess and lastUsed are
-// guarded by pool.mu; dialMu serializes the validate-or-dial step so only
-// one borrower dials while the rest wait and share the result.
+// poolEntry is the pool's per-device slot. refs, sess, lastUsed and the
+// idle-list links are guarded by pool.mu; dialMu serializes the
+// validate-or-dial step so only one borrower dials while the rest wait
+// and share the result.
 type poolEntry struct {
 	id     string
 	dialMu sync.Mutex
@@ -96,6 +100,42 @@ type poolEntry struct {
 	sess     *Session
 	refs     int
 	lastUsed time.Time
+
+	// An entry is on the idle list exactly when it holds a session and
+	// refs is 0.
+	idle       bool
+	prev, next *poolEntry
+}
+
+// idleList is an intrusive doubly linked list of idle pool entries, oldest
+// release first.
+type idleList struct{ front, back *poolEntry }
+
+func (l *idleList) pushBack(e *poolEntry) {
+	e.idle, e.prev, e.next = true, l.back, nil
+	if l.back != nil {
+		l.back.next = e
+	} else {
+		l.front = e
+	}
+	l.back = e
+}
+
+func (l *idleList) remove(e *poolEntry) {
+	if !e.idle {
+		return
+	}
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.idle, e.prev, e.next = false, nil, nil
 }
 
 // backoffState is one dial-failure cache entry.
@@ -186,22 +226,26 @@ func (p *pool) acquire(ctx context.Context, id string) (*poolEntry, *Session, er
 		p.entries[id] = e
 	}
 	e.refs++
+	p.idle.remove(e)
+	// A live cached session needs no dial serialization.
+	s := p.hitLocked(e)
 	p.mu.Unlock()
 	closeAll(victims)
+	if s != nil {
+		return e, s, nil
+	}
 
 	e.dialMu.Lock()
 	defer e.dialMu.Unlock()
 
 	p.mu.Lock()
+	// Another borrower may have dialed while this one waited.
+	if s := p.hitLocked(e); s != nil {
+		p.mu.Unlock()
+		return e, s, nil
+	}
 	if s := e.sess; s != nil {
-		// Liveness check: reuse only sessions whose reader goroutine is
-		// still running; a dead one is evicted and re-dialed below.
-		if s.alive() {
-			e.lastUsed = p.layer.clk.Now()
-			m.PoolHits.Add(1)
-			p.mu.Unlock()
-			return e, s, nil
-		}
+		// The cached session's reader has died: evict it and re-dial below.
 		p.evictLocked(e, &m.PoolBroken)
 		p.mu.Unlock()
 		s.Close()
@@ -213,7 +257,7 @@ func (p *pool) acquire(ctx context.Context, id string) (*poolEntry, *Session, er
 		p.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %w: %s suppressed for another %v", ErrUnreachable, ErrBackoff, id, wait)
 	}
-	victims = p.makeRoomLocked(e)
+	victims = p.makeRoomLocked()
 	p.mu.Unlock()
 	closeAll(victims)
 
@@ -234,6 +278,18 @@ func (p *pool) acquire(ctx context.Context, id string) (*poolEntry, *Session, er
 	return e, s, nil
 }
 
+// hitLocked returns e's cached session if its reader goroutine is still
+// running, counting a pool hit, and nil otherwise.
+func (p *pool) hitLocked(e *poolEntry) *Session {
+	s := e.sess
+	if s == nil || !s.alive() {
+		return nil
+	}
+	e.lastUsed = p.layer.clk.Now()
+	p.layer.metrics.PoolHits.Add(1)
+	return s
+}
+
 // release hands a borrowed session back. A session that broke during the
 // operation is evicted so the next borrower re-dials instead of failing
 // on a dead connection.
@@ -252,12 +308,18 @@ func (p *pool) release(e *poolEntry, s *Session, broken bool) {
 	}
 }
 
-// releaseLocked drops one reference and garbage-collects sessionless
-// entries (e.g. unknown or unreachable devices) so the entry map cannot
-// grow without bound.
+// releaseLocked drops one reference. The last borrower's release puts a
+// session-holding entry on the idle list and garbage-collects a
+// sessionless one (e.g. an unknown or unreachable device) so the entry
+// map cannot grow without bound.
 func (p *pool) releaseLocked(e *poolEntry) {
 	e.refs--
-	if e.refs == 0 && e.sess == nil {
+	if e.refs > 0 {
+		return
+	}
+	if e.sess != nil {
+		p.idle.pushBack(e)
+	} else {
 		delete(p.entries, e.id)
 	}
 }
@@ -269,6 +331,7 @@ func (p *pool) evictLocked(e *poolEntry, counter *atomic.Int64) {
 		return
 	}
 	e.sess = nil
+	p.idle.remove(e)
 	counter.Add(1)
 	p.layer.metrics.OpenSessions.Add(-1)
 	if e.refs == 0 {
@@ -279,55 +342,37 @@ func (p *pool) evictLocked(e *poolEntry, counter *atomic.Int64) {
 // reapIdleLocked evicts sessions idle past the TTL and returns them for
 // closing outside the lock. Reaping is lazy — it runs on every acquire
 // and on explicit ReapIdleSessions calls — so it needs no background
-// goroutine and stays deterministic under manual test clocks.
+// goroutine and stays deterministic under manual test clocks. The idle
+// list is in release order, so the scan stops at the first session still
+// inside its TTL.
 func (p *pool) reapIdleLocked() []*Session {
 	if p.cfg.IdleTTL < 0 {
 		return nil
 	}
 	now := p.layer.clk.Now()
 	var victims []*Session
-	for _, e := range p.entries {
-		if e.sess != nil && e.refs == 0 && now.Sub(e.lastUsed) > p.cfg.IdleTTL {
-			victims = append(victims, e.sess)
-			p.evictLocked(e, &p.layer.metrics.PoolExpired)
-		}
+	for e := p.idle.front; e != nil && now.Sub(e.lastUsed) > p.cfg.IdleTTL; e = p.idle.front {
+		victims = append(victims, e.sess)
+		p.evictLocked(e, &p.layer.metrics.PoolExpired)
 	}
 	return victims
 }
 
-// makeRoomLocked enforces the MaxSessions cap by evicting
+// makeRoomLocked enforces a positive MaxSessions cap by evicting
 // least-recently-used idle sessions. Sessions with live borrowers are
 // never evicted; if every session is busy the cap is exceeded rather than
 // blocking the caller (a soft cap).
-func (p *pool) makeRoomLocked(current *poolEntry) []*Session {
+func (p *pool) makeRoomLocked() []*Session {
+	if p.cfg.MaxSessions <= 0 {
+		return nil
+	}
 	var victims []*Session
-	for p.openLocked() >= p.cfg.MaxSessions {
-		var lru *poolEntry
-		for _, e := range p.entries {
-			if e == current || e.sess == nil || e.refs > 0 {
-				continue
-			}
-			if lru == nil || e.lastUsed.Before(lru.lastUsed) {
-				lru = e
-			}
-		}
-		if lru == nil {
-			break
-		}
+	for p.layer.metrics.OpenSessions.Load() >= int64(p.cfg.MaxSessions) && p.idle.front != nil {
+		lru := p.idle.front
 		victims = append(victims, lru.sess)
 		p.evictLocked(lru, &p.layer.metrics.PoolEvictions)
 	}
 	return victims
-}
-
-func (p *pool) openLocked() int {
-	n := 0
-	for _, e := range p.entries {
-		if e.sess != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // backoffRemainingLocked reports whether id is inside its dial-failure

@@ -330,6 +330,46 @@ func TestIdleSessionsReaped(t *testing.T) {
 	}
 }
 
+// TestIdleReapFollowsLastUse: reaping goes by last release, not by dial
+// order — a session reused since it was dialed survives while one dialed
+// after it but left idle expires.
+func TestIdleReapFollowsLastUse(t *testing.T) {
+	clk := vclock.NewManual(time.Unix(1_000_000, 0))
+	f := newPoolFarm(t, clk)
+	f.layer.ConfigurePool(PoolConfig{IdleTTL: 30 * time.Second})
+	ctx := context.Background()
+	for _, id := range []string{"mote-1", "mote-2", "camera-1"} {
+		if _, err := f.layer.Probe(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Second)
+	}
+	// t = 30 s: reuse mote-1, the first session dialed.
+	if _, err := f.layer.Probe(ctx, "mote-1"); err != nil {
+		t.Fatal(err)
+	}
+	// t = 41 s: mote-2 has been idle 31 s, camera-1 21 s, mote-1 11 s.
+	clk.Advance(11 * time.Second)
+	if n := f.layer.ReapIdleSessions(); n != 1 {
+		t.Fatalf("reaped %d sessions, want 1 (mote-2)", n)
+	}
+	dials := f.metrics().Dials.Load()
+	for _, id := range []string{"mote-1", "camera-1"} {
+		if _, err := f.layer.Probe(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.metrics().Dials.Load(); got != dials {
+		t.Errorf("Dials %d -> %d re-probing the surviving sessions, want no dial", dials, got)
+	}
+	if _, err := f.layer.Probe(ctx, "mote-2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.metrics().Dials.Load(); got != dials+1 {
+		t.Errorf("Dials = %d after probing reaped mote-2, want %d", got, dials+1)
+	}
+}
+
 // TestPoolCapacityLRUEviction: the session cap evicts the
 // least-recently-used idle session, never a busy one.
 func TestPoolCapacityLRUEviction(t *testing.T) {

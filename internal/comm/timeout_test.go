@@ -3,6 +3,8 @@ package comm
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,5 +92,67 @@ func TestStaleResponsesSkipped(t *testing.T) {
 	}
 	if res.DeviceID != "camera-1" {
 		t.Errorf("second probe result = %+v", res)
+	}
+}
+
+// TestSessionCloseLeavesNoGoroutines: Close waits for the session's reader
+// and writer, including a writer still pushing a timed-out request's
+// frame over a slow link, so no session goroutine outlives it.
+func TestSessionCloseLeavesNoGoroutines(t *testing.T) {
+	// Sessions left by earlier tests die once their device servers close;
+	// let them go before taking the baseline.
+	base := settledSessionGoroutines(0, 2*time.Second)
+	f := newFarm(t)
+	f.layer.SetTimeout("camera", time.Second)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		s, err := f.layer.Connect(ctx, "camera-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Probe(ctx); err != nil {
+			t.Fatal(err)
+		}
+		stuck := i%10 == 0
+		if stuck {
+			// Each frame write now takes 2 × 60 virtual seconds (1.2 s of
+			// wall time), so the probe times out with its frame still
+			// being written.
+			f.network.SetLink("camera-1", netsim.LinkConfig{Latency: time.Minute})
+			if _, err := s.Probe(ctx); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("probe over slow link: %v, want ErrTimeout", err)
+			}
+		}
+		s.Close()
+		if stuck {
+			f.network.SetLink("camera-1", netsim.LinkConfig{})
+		}
+		// The grace only covers a goroutine's return after it signalled
+		// Close; a writer abandoned inside the slow write would stay far
+		// longer.
+		if n := settledSessionGoroutines(base, 200*time.Millisecond); n > base {
+			t.Fatalf("iteration %d: %d session goroutines outlive Close", i, n-base)
+		}
+	}
+}
+
+// settledSessionGoroutines polls the number of goroutines running Session
+// code until it is at most target or the grace period ends, and returns
+// the last count.
+func settledSessionGoroutines(target int, grace time.Duration) int {
+	deadline := time.Now().Add(grace)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "comm.(*Session).") {
+				n++
+			}
+		}
+		if n <= target || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -60,9 +60,11 @@ type Config struct {
 	MaxAttempts int
 
 	// PoolMaxSessions caps the transport pool's concurrently open device
-	// sessions; beyond it the least-recently-used idle session is evicted
-	// (default comm.DefaultPoolMaxSessions; negative disables pooling so
-	// every operation dials and closes its own connection).
+	// sessions; beyond it the least-recently-used idle session is evicted.
+	// The cap is soft (busy sessions are never evicted). 0, the default,
+	// means no cap: the registry bounds the sessions and PoolIdleTTL
+	// reclaims idle ones. Negative disables pooling so every operation
+	// dials and closes its own connection.
 	PoolMaxSessions int
 	// PoolIdleTTL reaps pooled sessions unused for this long on the
 	// engine clock (default comm.DefaultPoolIdleTTL; negative keeps idle

@@ -23,6 +23,11 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// Since returns the time elapsed since t on this clock.
 	Since(t time.Time) time.Duration
+	// AfterFunc calls f once d of this clock's time has elapsed. The
+	// returned stop cancels the call if it has not happened yet and
+	// reports whether it did so. No goroutine waits while the timer is
+	// pending.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // Real is the wall clock.
@@ -41,6 +46,12 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
+
+// AfterFunc implements Clock: f runs on its own goroutine, as with
+// time.AfterFunc.
+func (Real) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
+}
 
 // Scaled is a wall clock that runs factor times faster than real time.
 // Durations slept or waited on are divided by the factor; Now advances
@@ -85,15 +96,18 @@ func (s *Scaled) Sleep(d time.Duration) {
 // After implements Clock.
 func (s *Scaled) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	timer := time.AfterFunc(s.real(d), func() {
-		ch <- s.Now()
-	})
-	_ = timer
+	s.AfterFunc(d, func() { ch <- s.Now() })
 	return ch
 }
 
 // Since implements Clock.
 func (s *Scaled) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
+
+// AfterFunc implements Clock: f runs on its own goroutine once d/factor of
+// wall time has passed.
+func (s *Scaled) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(s.real(d), f).Stop
+}
 
 func (s *Scaled) real(d time.Duration) time.Duration {
 	rd := time.Duration(float64(d) / s.factor)
@@ -111,9 +125,12 @@ type Manual struct {
 	waiters []*manualWaiter
 }
 
+// manualWaiter is one pending timer: Advance past at delivers on ch
+// (After, Sleep) or calls fn (AfterFunc).
 type manualWaiter struct {
 	at time.Time
 	ch chan time.Time
+	fn func()
 }
 
 var _ Clock = (*Manual)(nil)
@@ -156,6 +173,31 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 // Since implements Clock.
 func (m *Manual) Since(t time.Time) time.Duration { return m.Now().Sub(t) }
 
+// AfterFunc implements Clock. f runs synchronously inside the Advance call
+// that moves the clock past the deadline, or inside AfterFunc itself when
+// d <= 0; stop removes the pending waiter.
+func (m *Manual) AfterFunc(d time.Duration, f func()) func() bool {
+	if d <= 0 {
+		f()
+		return func() bool { return false }
+	}
+	m.mu.Lock()
+	w := &manualWaiter{at: m.now.Add(d), fn: f}
+	m.waiters = append(m.waiters, w)
+	m.mu.Unlock()
+	return func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for i, x := range m.waiters {
+			if x == w {
+				m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // Advance moves the clock forward by d, waking every waiter whose deadline
 // has passed.
 func (m *Manual) Advance(d time.Duration) {
@@ -174,11 +216,16 @@ func (m *Manual) Advance(d time.Duration) {
 	m.waiters = remaining
 	m.mu.Unlock()
 	for _, w := range fired {
-		w.ch <- now
+		if w.fn != nil {
+			w.fn()
+		} else {
+			w.ch <- now
+		}
 	}
 }
 
-// Waiters reports the number of goroutines currently blocked on the clock.
+// Waiters reports the number of pending timers on the clock: blocked
+// sleepers, undelivered After channels and unstopped AfterFunc calls.
 func (m *Manual) Waiters() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -191,20 +238,14 @@ func (m *Manual) Waiters() int {
 // The returned context's Err is context.Canceled either way; use
 // context.Cause to distinguish a timeout (context.DeadlineExceeded) from
 // caller cancellation.
+//
+// The deadline rides clk.AfterFunc and the returned cancel stops it, so a
+// request that finishes in time costs one timer and no goroutine.
 func WithTimeout(ctx context.Context, clk Clock, d time.Duration) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancelCause(ctx)
-	stop := make(chan struct{})
-	var once sync.Once
-	go func() {
-		select {
-		case <-clk.After(d):
-			cancel(context.DeadlineExceeded)
-		case <-stop:
-		case <-ctx.Done():
-		}
-	}()
+	stop := clk.AfterFunc(d, func() { cancel(context.DeadlineExceeded) })
 	return ctx, func() {
-		once.Do(func() { close(stop) })
+		stop()
 		cancel(context.Canceled)
 	}
 }
