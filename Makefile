@@ -32,8 +32,9 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# A short end-to-end churn run: kill/revive cameras mid-workload and
-# check the failure detector's numbers print sanely.
+# A short end-to-end churn run: kill/revive cameras mid-workload; exits
+# non-zero if the detector-on run schedules onto a device after it was
+# detected Down or loses an outcome (outcomes != requests).
 churn-smoke:
 	$(GO) run ./cmd/aortabench -exp churn -minutes 3
 

@@ -164,6 +164,10 @@ func run(exp string, runs int, seed int64, cameras, minutes, clients int) error 
 		}
 		experiments.PrintChurnStudy(out, baseline, withDetector)
 		fmt.Fprintln(out)
+		if withDetector.SchedulingViolations > 0 || withDetector.Outcomes != withDetector.Requests {
+			return fmt.Errorf("churn: detector run has %d post-detection scheduling violation(s) and %d/%d outcomes",
+				withDetector.SchedulingViolations, withDetector.Outcomes, withDetector.Requests)
+		}
 	}
 	if all || wanted["qscale"] {
 		ran = true

@@ -11,17 +11,15 @@ import (
 	"sync"
 	"time"
 
-	"aorta/internal/comm"
 	"aorta/internal/frontdoor"
 	"aorta/internal/liveness"
 	"aorta/internal/vclock"
 )
 
-// Router-side shard health defaults. Detector thresholds come from
-// internal/liveness (the router reuses the device failure detector's
-// state machine); dial backoff reuses the transport pool's constants so
-// a dead shard costs the same suppressed-dial microseconds as a dead
-// device.
+// Router-side shard health defaults. The detector thresholds, the
+// breaker and the dial backoff are internal/liveness's, shared with the
+// device transport, so a dead shard is judged and shed exactly like a
+// dead device.
 const (
 	// DefaultShardProbeInterval is the period of the router's active
 	// health probes (a \ping over each shard's persistent tagged
@@ -38,13 +36,6 @@ const (
 	// partitioned, most shards look Down at once; retiring them all
 	// would amputate healthy shards, so below quorum the router waits.
 	DefaultQuorum = 0.5
-	// Breaker defaults mirror comm's per-device circuit breaker: a
-	// shard that fails DefaultBreakerThreshold times inside
-	// DefaultBreakerWindow is shed for DefaultBreakerCooldown, then
-	// granted one half-open trial statement.
-	DefaultBreakerThreshold = 5
-	DefaultBreakerWindow    = 30 * time.Second
-	DefaultBreakerCooldown  = 10 * time.Second
 )
 
 // ErrShardShed marks a statement the router shed without touching the
@@ -80,11 +71,11 @@ type DrainReport struct {
 // before retiring the shard.
 type DrainFunc func(ctx context.Context, victim string, owner func(deviceID string) string) (DrainReport, error)
 
-// HealthConfig tunes the router's per-shard failure detector, the
-// shardConn breaker/backoff, and the auto-retire control loop. The zero
-// value enables passive detection, backoff and the breaker with the
-// defaults above, keeps active probing off (set ProbeInterval), and
-// keeps auto-retire off (set AutoRetire).
+// HealthConfig tunes the router's per-shard failure detector, active
+// probes and auto-retire control loop. The zero value enables passive
+// detection plus the breaker and dial backoff with the liveness
+// defaults, keeps active probing off (set ProbeInterval), and keeps
+// auto-retire off (set AutoRetire).
 type HealthConfig struct {
 	// Disabled turns the whole health apparatus off: no detector, no
 	// breaker, no backoff, no probes — the pre-health router. Escape
@@ -104,16 +95,6 @@ type HealthConfig struct {
 	// ProbeTimeout bounds one probe; an expired probe counts as failure
 	// evidence. Zero picks DefaultShardProbeTimeout.
 	ProbeTimeout time.Duration
-	// BreakerThreshold failures within BreakerWindow open the shard's
-	// circuit for BreakerCooldown. Zero picks defaults; negative
-	// disables the breaker.
-	BreakerThreshold int
-	BreakerWindow    time.Duration
-	BreakerCooldown  time.Duration
-	// BackoffBase/BackoffMax shape the exponential redial suppression
-	// (zero picks comm.DefaultDialBackoff/Max; negative base disables).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// AutoRetire arms the control loop: a shard Down for GraceWindow is
 	// retired and handed off without operator action.
 	AutoRetire bool
@@ -140,21 +121,6 @@ func (c HealthConfig) resolve() HealthConfig {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = DefaultShardProbeTimeout
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = DefaultBreakerWindow
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = comm.DefaultDialBackoff
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = comm.DefaultDialBackoffMax
 	}
 	if c.GraceWindow <= 0 {
 		c.GraceWindow = DefaultGraceWindow
@@ -195,7 +161,9 @@ type RouterHealth struct {
 const maxMembershipEvents = 1024
 
 // Health snapshots the router's per-shard health view. Nil when the
-// health apparatus is disabled.
+// health apparatus is disabled. It reads only the router's own health
+// state, never a shard connection's lock, so a dial in flight cannot
+// stall it.
 func (r *Router) Health() *RouterHealth {
 	if r.health == nil {
 		return nil
@@ -208,15 +176,15 @@ func (r *Router) Health() *RouterHealth {
 		Events:     append([]MembershipEvent(nil), r.memEvents...),
 	}
 	for id := range r.addrs {
-		sh := ShardHealth{Draining: r.draining[id]}
+		sh := ShardHealth{
+			Draining:    r.draining[id],
+			BreakerOpen: r.brk.Open(id),
+			DialBackoff: r.backoff.Remaining(id) > 0,
+		}
 		if h, ok := snap[id]; ok {
 			sh.State = h.State
 			sh.ConsecutiveFailures = h.ConsecutiveFailures
 			sh.Since = h.Since
-		}
-		if c := r.conns[id]; c != nil {
-			sh.BreakerOpen = c.brk.isOpen()
-			sh.DialBackoff = c.inBackoff(r.clk.Now())
 		}
 		out.Shards[id] = sh
 	}
@@ -247,7 +215,7 @@ func (r *Router) ShardCommand(ctx context.Context, shardID, stmt string) error {
 	if conn == nil {
 		return fmt.Errorf("cluster: unknown shard %q", shardID)
 	}
-	f, err := conn.do(ctx, stmt)
+	f, err := r.exec(ctx, conn, stmt)
 	if err != nil {
 		return err
 	}
@@ -295,9 +263,9 @@ func (r *Router) observeShard(id string, alive bool) {
 // probeLoop sends a lightweight \ping to every shard each interval over
 // the same persistent tagged connection statements use, so detection
 // does not depend on client traffic. Evidence flows through the shared
-// shardConn path; a probe that times out (shard accepts but never
-// answers) is reported as failure explicitly, since the connection
-// itself produced no error.
+// Router.exec path; a probe whose own timeout expires (the shard
+// accepts but never answers, or its dial hangs) is reported as failure
+// here, since exec treats an expired context as the caller giving up.
 func (r *Router) probeLoop() {
 	defer r.wg.Done()
 	for {
@@ -317,7 +285,7 @@ func (r *Router) probeLoop() {
 				defer pwg.Done()
 				ctx, cancel := vclock.WithTimeout(r.runCtx, r.clk, r.hcfg.ProbeTimeout)
 				defer cancel()
-				if _, err := c.do(ctx, "\\ping"); err != nil && errors.Is(err, context.DeadlineExceeded) {
+				if _, err := r.exec(ctx, c, "\\ping"); err != nil && errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
 					r.observeShard(c.id, false)
 				}
 			}(c)
@@ -487,103 +455,6 @@ func (r *Router) execDrain(ctx context.Context, id, victim string) *Response {
 	msg := fmt.Sprintf("shard %s drained: %s", victim, detail)
 	r.recordEvent(victim, "drained", msg)
 	return &Response{ID: id, OK: true, Message: msg}
-}
-
-// shardBreaker is a windowed circuit breaker on one shard connection,
-// mirroring comm's per-device breaker: BreakerThreshold failures inside
-// BreakerWindow open the circuit; after BreakerCooldown one half-open
-// trial statement is admitted, and its outcome closes or re-opens the
-// circuit. A nil *shardBreaker is a disabled breaker.
-type shardBreaker struct {
-	threshold        int
-	window, cooldown time.Duration
-
-	mu       sync.Mutex
-	fails    []time.Time
-	open     bool
-	openedAt time.Time
-	halfOpen bool
-}
-
-func newShardBreaker(threshold int, window, cooldown time.Duration) *shardBreaker {
-	if threshold < 0 {
-		return nil
-	}
-	return &shardBreaker{threshold: threshold, window: window, cooldown: cooldown}
-}
-
-// allow reports whether a statement may proceed, admitting the single
-// half-open trial once per cooldown while open.
-func (b *shardBreaker) allow(now time.Time) bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	if b.halfOpen {
-		return false
-	}
-	if now.Sub(b.openedAt) >= b.cooldown {
-		b.halfOpen = true
-		return true
-	}
-	return false
-}
-
-// record feeds one statement outcome.
-func (b *shardBreaker) record(now time.Time, ok bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.open, b.halfOpen = false, false
-		b.fails = b.fails[:0]
-		return
-	}
-	if b.open {
-		// The half-open trial (or a straggler) failed: restart the cooldown.
-		b.openedAt = now
-		b.halfOpen = false
-		return
-	}
-	b.fails = append(b.fails, now)
-	cut := 0
-	for cut < len(b.fails) && now.Sub(b.fails[cut]) > b.window {
-		cut++
-	}
-	b.fails = b.fails[cut:]
-	if len(b.fails) >= b.threshold {
-		b.open, b.openedAt = true, now
-		b.fails = b.fails[:0]
-	}
-}
-
-func (b *shardBreaker) isOpen() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-// backoffFor is the exponential redial suppression window after the
-// n-th consecutive dial failure (n >= 1): base, 2·base, … capped at max
-// — the transport pool's schedule applied per shard.
-func backoffFor(base, max time.Duration, fails int) time.Duration {
-	d := base
-	for i := 1; i < fails && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
 }
 
 // sortedShardIDs returns the member shard ids in stable order.

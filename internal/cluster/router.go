@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"aorta/internal/frontdoor"
 	"aorta/internal/liveness"
@@ -45,9 +45,9 @@ type RouterConfig struct {
 	Dialer netsim.Dialer
 	// Logger receives routing events. Nil discards them.
 	Logger *slog.Logger
-	// Health tunes the per-shard failure detector, breaker/backoff and
-	// the auto-retire control loop (see HealthConfig; the zero value
-	// enables passive detection with defaults).
+	// Health tunes the per-shard failure detector, probes and the
+	// auto-retire control loop (see HealthConfig; the zero value enables
+	// passive detection, the breaker and the dial backoff).
 	Health HealthConfig
 }
 
@@ -82,8 +82,12 @@ type Router struct {
 	hcfg   HealthConfig
 	// health is the per-shard failure detector (nil when disabled): the
 	// same Up→Suspect→Down machine internal/liveness runs per device,
-	// fed passively by every fan-out result plus the probe loop.
+	// fed passively by every fan-out result plus the probe loop. brk and
+	// backoff are the liveness breaker and dial backoff keyed by shard
+	// id (both inert when disabled).
 	health    *liveness.Detector
+	brk       *liveness.Breaker
+	backoff   *liveness.Backoff
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
@@ -146,7 +150,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		healing:  make(map[string]bool),
 	}
 	r.runCtx, r.runCancel = context.WithCancel(context.Background())
-	if !hcfg.Disabled {
+	if hcfg.Disabled {
+		r.brk = liveness.NewBreaker(r.clk, liveness.BreakerConfig{Threshold: -1})
+		r.backoff = liveness.NewBackoff(r.clk, -1, 0)
+	} else {
+		r.brk = liveness.NewBreaker(r.clk, liveness.BreakerConfig{})
+		r.backoff = liveness.NewBackoff(r.clk, 0, 0)
 		r.health = liveness.New(hcfg.Clock, liveness.Config{
 			SuspectAfter: hcfg.SuspectAfter,
 			DownAfter:    hcfg.DownAfter,
@@ -159,29 +168,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		})
 	}
 	for _, s := range cfg.Shards {
-		r.conns[s.ID] = r.newShardConn(s.ID, s.Addr)
+		r.conns[s.ID] = &shardConn{id: s.ID, addr: s.Addr, dialer: r.dialer, lg: r.lg}
 	}
 	if r.health != nil && hcfg.ProbeInterval > 0 {
 		r.wg.Add(1)
 		go r.probeLoop()
 	}
 	return r, nil
-}
-
-// newShardConn builds the persistent pipelined connection handle for
-// one shard, wired to the router's clock, breaker, dial backoff and
-// failure detector.
-func (r *Router) newShardConn(id, addr string) *shardConn {
-	c := &shardConn{
-		id: id, addr: addr, dialer: r.dialer, lg: r.lg, clk: r.clk,
-	}
-	if !r.hcfg.Disabled {
-		c.backoffBase = r.hcfg.BackoffBase
-		c.backoffMax = r.hcfg.BackoffMax
-		c.brk = newShardBreaker(r.hcfg.BreakerThreshold, r.hcfg.BreakerWindow, r.hcfg.BreakerCooldown)
-		c.onEvidence = func(alive bool) { r.observeShard(id, alive) }
-	}
-	return c
 }
 
 // Map returns the current shard map.
@@ -244,18 +237,23 @@ func (r *Router) Retire(shardID string) error {
 		return err
 	}
 	r.smap = smap
-	if c := r.conns[shardID]; c != nil {
-		c.close()
-	}
+	conn := r.conns[shardID]
 	delete(r.conns, shardID)
 	delete(r.addrs, shardID)
 	r.reindexLocked()
 	r.mu.Unlock()
+	// Closed outside r.mu: close waits for a dial in flight on the
+	// connection, and that must not stall the rest of the router.
+	if conn != nil {
+		conn.close()
+	}
+	// The shard left the membership; its health entries would otherwise
+	// hold stale Down, open-circuit or backoff state if the id rejoins.
 	if r.health != nil {
-		// The shard left the membership; its detector entry would
-		// otherwise hold stale Down state if the id ever rejoins.
 		r.health.Forget(shardID)
 	}
+	r.brk.Reset(shardID)
+	r.backoff.Clear(shardID)
 	r.recordEvent(shardID, "retired", "removed from membership")
 	r.mu.Lock()
 	return nil
@@ -265,10 +263,14 @@ func (r *Router) Retire(shardID string) error {
 func (r *Router) Close() {
 	r.runCancel()
 	r.mu.Lock()
+	conns := make([]*shardConn, 0, len(r.conns))
 	for _, c := range r.conns {
-		c.close()
+		conns = append(conns, c)
 	}
 	r.mu.Unlock()
+	for _, c := range conns {
+		c.close()
+	}
 	r.wg.Wait()
 }
 
@@ -483,7 +485,7 @@ func (r *Router) fanout(ctx context.Context, stmt string, targets []string) []sh
 		wg.Add(1)
 		go func(i int, shard string, conn *shardConn) {
 			defer wg.Done()
-			f, err := conn.do(ctx, stmt)
+			f, err := r.exec(ctx, conn, stmt)
 			results[i] = shardResult{shard: shard, frame: f, err: err}
 		}(i, shard, conn)
 	}
@@ -665,87 +667,78 @@ type shardFrame struct {
 	Wal       map[string]any   `json:"wal"`
 }
 
+// errConnClosed marks a statement refused because the router already
+// closed the shard's connection (Retire, Close): the router's own doing,
+// not evidence about the shard.
+var errConnClosed = errors.New("connection closed")
+
+// exec sends one statement to a shard through the router's health
+// toolkit: the shard's circuit breaker, then its dial backoff (inside
+// shardConn.do), then the connection. The backoff sheds statements in
+// microseconds while a redial would only burn a dial timeout; the
+// breaker sheds while a shard flaps — connects, fails a few statements,
+// dies — faster than consecutive-failure counting can catch. Shed
+// statements fail with ErrShardShed. The outcome is judged by the
+// evidence rule comm applies to devices: an answer or a transport
+// failure feeds the breaker and the detector; a shed, a connection the
+// router closed or a caller that gave up is not evidence and releases a
+// half-open trial instead.
+func (r *Router) exec(ctx context.Context, c *shardConn, stmt string) (*shardFrame, error) {
+	if ok, _ := r.brk.Allow(c.id); !ok {
+		return nil, fmt.Errorf("cluster: shard %s circuit open: %w", c.id, ErrShardShed)
+	}
+	f, err := c.do(ctx, stmt, r.backoff)
+	if err != nil && (errors.Is(err, ErrShardShed) || errors.Is(err, errConnClosed) || ctx.Err() != nil) {
+		r.brk.Abandon(c.id)
+		return nil, err
+	}
+	r.brk.Record(c.id, err == nil)
+	r.observeShard(c.id, err == nil)
+	return f, err
+}
+
 // shardConn is one persistent pipelined connection to a shard's front
 // door: statements go out tagged "#r<seq>", a demux goroutine dispatches
 // response frames to their waiters by tag, and a transport error fails
 // every pending statement and drops the conn — the next statement
-// redials.
-//
-// Two gates keep a dead or flapping shard from stalling every
-// statement: an exponential dial backoff (the transport pool's
-// schedule, per shard) sheds statements in microseconds while a redial
-// would only burn a dial timeout, and a windowed circuit breaker sheds
-// while a shard flaps — connects, fails a few statements, dies —
-// faster than consecutive-failure counting can catch. Shed statements
-// fail with ErrShardShed and carry no detector evidence.
+// redials. Health state lives in the Router, keyed by shard id.
 type shardConn struct {
 	id     string
 	addr   string
 	dialer netsim.Dialer
 	lg     *slog.Logger
-	clk    vclock.Clock
-	// backoffBase <= 0 disables redial suppression; brk is nil when the
-	// breaker is disabled; onEvidence feeds the router's detector.
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	brk         *shardBreaker
-	onEvidence  func(alive bool)
 
 	mu      sync.Mutex
 	conn    net.Conn
 	seq     int64
 	pending map[string]chan *shardFrame
 	closed  bool
-	// dialFails/dialNotBefore is the redial backoff state.
-	dialFails     int
-	dialNotBefore time.Time
 }
 
-// report records one real statement outcome with the breaker and the
-// failure detector. Must be called without c.mu held.
-func (c *shardConn) report(alive bool) {
-	c.brk.record(c.clk.Now(), alive)
-	if c.onEvidence != nil {
-		c.onEvidence(alive)
-	}
-}
-
-// inBackoff reports whether the redial suppression window is open.
-func (c *shardConn) inBackoff(now time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn == nil && !c.dialNotBefore.IsZero() && now.Before(c.dialNotBefore)
-}
-
-func (c *shardConn) do(ctx context.Context, stmt string) (*shardFrame, error) {
-	now := c.clk.Now()
-	if !c.brk.allow(now) {
-		return nil, fmt.Errorf("cluster: shard %s circuit open: %w", c.id, ErrShardShed)
-	}
+// do sends one statement, dialing first when there is no connection
+// unless bo still suppresses the redial (an ErrShardShed error). Dials
+// are serialized under c.mu, and their outcome feeds bo — except a dial
+// the caller's ctx aborted, which says nothing about the shard.
+func (c *shardConn) do(ctx context.Context, stmt string, bo *liveness.Backoff) (*shardFrame, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: shard %s connection closed", c.id)
+		return nil, fmt.Errorf("cluster: shard %s: %w", c.id, errConnClosed)
 	}
 	if c.conn == nil {
-		if c.backoffBase > 0 && !c.dialNotBefore.IsZero() && now.Before(c.dialNotBefore) {
-			fails := c.dialFails
+		if wait := bo.Remaining(c.id); wait > 0 {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("cluster: shard %s in dial backoff (%d consecutive dial failures): %w",
-				c.id, fails, ErrShardShed)
+			return nil, fmt.Errorf("cluster: shard %s in dial backoff for another %v: %w", c.id, wait, ErrShardShed)
 		}
 		conn, err := c.dialer.Dial(ctx, c.addr)
 		if err != nil {
-			if c.backoffBase > 0 {
-				c.dialFails++
-				c.dialNotBefore = now.Add(backoffFor(c.backoffBase, c.backoffMax, c.dialFails))
+			if ctx.Err() == nil {
+				bo.Fail(c.id)
 			}
 			c.mu.Unlock()
-			c.report(false)
 			return nil, fmt.Errorf("cluster: dial shard %s (%s): %w", c.id, c.addr, err)
 		}
-		c.dialFails = 0
-		c.dialNotBefore = time.Time{}
+		bo.Clear(c.id)
 		c.conn = conn
 		c.pending = make(map[string]chan *shardFrame)
 		go c.readLoop(conn)
@@ -763,23 +756,18 @@ func (c *shardConn) do(ctx context.Context, stmt string) (*shardFrame, error) {
 			c.failLocked()
 		}
 		c.mu.Unlock()
-		c.report(false)
 		return nil, fmt.Errorf("cluster: shard %s write: %w", c.id, err)
 	}
 	select {
 	case f, ok := <-ch:
 		if !ok {
-			c.report(false)
 			return nil, fmt.Errorf("cluster: shard %s connection lost mid-statement", c.id)
 		}
-		c.report(true)
 		return f, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, tag)
 		c.mu.Unlock()
-		// Cancellation is the caller's doing, not shard evidence; probe
-		// timeouts are reported as failures by the probe loop itself.
 		return nil, context.Cause(ctx)
 	}
 }

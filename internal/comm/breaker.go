@@ -3,8 +3,9 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
+
+	"aorta/internal/liveness"
 )
 
 // ErrBreakerOpen marks an operation shed by a device's open circuit
@@ -19,173 +20,33 @@ var ErrBreakerOpen = errors.New("comm: circuit breaker open")
 // operation without dialing. Also matches ErrUnreachable.
 var ErrShed = errors.New("comm: device shed by failure detector")
 
-// Breaker tuning defaults. The window/threshold pair is what catches a
-// flapping device: the liveness detector's consecutive-failure counters
-// reset on every success, so a device alternating success and failure
-// never reaches Down — but its failures accumulate in the breaker's
-// rolling window and trip the breaker, shedding load until the cooldown.
-const (
-	// DefaultBreakerThreshold is the failure count inside the window that
-	// opens the breaker.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerWindow is the rolling window failures are counted in.
-	DefaultBreakerWindow = 30 * time.Second
-	// DefaultBreakerCooldown is how long an open breaker sheds before
-	// allowing a half-open trial.
-	DefaultBreakerCooldown = 10 * time.Second
-)
-
-// BreakerConfig tunes the per-device circuit breaker.
-type BreakerConfig struct {
-	// Threshold is the failure count within Window that opens the breaker.
-	// 0 selects DefaultBreakerThreshold; negative disables the breaker.
-	Threshold int
-	// Window is the rolling failure-counting window (0 selects
-	// DefaultBreakerWindow).
-	Window time.Duration
-	// Cooldown is the open period before a half-open trial (0 selects
-	// DefaultBreakerCooldown).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) resolve() BreakerConfig {
-	if c.Threshold == 0 {
-		c.Threshold = DefaultBreakerThreshold
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultBreakerWindow
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultBreakerCooldown
-	}
-	return c
-}
-
-// breaker is the layer's per-device circuit breaker. States per device:
-// closed (normal), open (shedding until cooldown passes), half-open (one
-// in-flight trial decides). Time is measured on the layer's clock.
-type breaker struct {
-	layer *Layer
-
-	mu   sync.Mutex
-	cfg  BreakerConfig
-	devs map[string]*breakerState
-}
-
-type breakerState struct {
-	fails     []time.Time // rolling failure timestamps, pruned to Window
-	open      bool
-	openUntil time.Time
-	trial     bool // half-open: one trial in flight
-}
-
-func newBreaker(l *Layer, cfg BreakerConfig) *breaker {
-	return &breaker{layer: l, cfg: cfg.resolve(), devs: make(map[string]*breakerState)}
-}
-
-// allow decides whether an operation on the device may proceed. Open
-// breakers shed until the cooldown passes, then admit exactly one
-// half-open trial whose outcome (record) closes or re-opens the breaker.
-func (b *breaker) allow(id string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cfg.Threshold < 0 {
-		return nil
-	}
-	st := b.devs[id]
-	if st == nil || !st.open {
-		return nil
-	}
-	now := b.layer.clk.Now()
-	if now.Before(st.openUntil) {
-		b.layer.metrics.BreakerShed.Add(1)
-		return fmt.Errorf("%w: %w: %s sheds load for another %v",
-			ErrUnreachable, ErrBreakerOpen, id, st.openUntil.Sub(now).Round(time.Millisecond))
-	}
-	if st.trial {
-		b.layer.metrics.BreakerShed.Add(1)
-		return fmt.Errorf("%w: %w: %s half-open trial already in flight", ErrUnreachable, ErrBreakerOpen, id)
-	}
-	st.trial = true
-	return nil
-}
-
-// record feeds one operation result. Success closes the breaker and
-// clears the failure history; a transport failure is appended to the
-// rolling window and opens the breaker at the threshold (or immediately
-// when a half-open trial fails).
-func (b *breaker) record(id string, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cfg.Threshold < 0 {
-		return
-	}
-	st := b.devs[id]
+// allowBreaker asks the device's circuit breaker whether an operation
+// may proceed, turning a shed verdict into an ErrBreakerOpen error and a
+// BreakerShed count.
+func (l *Layer) allowBreaker(id string) error {
+	ok, wait := l.breaker.Allow(id)
 	if ok {
-		if st != nil {
-			delete(b.devs, id)
-		}
-		return
+		return nil
 	}
-	if st == nil {
-		st = &breakerState{}
-		b.devs[id] = st
+	l.metrics.BreakerShed.Add(1)
+	if wait > 0 {
+		return fmt.Errorf("%w: %w: %s sheds load for another %v",
+			ErrUnreachable, ErrBreakerOpen, id, wait.Round(time.Millisecond))
 	}
-	now := b.layer.clk.Now()
-	if st.open {
-		// Failed half-open trial (or a straggler): re-open for a fresh
-		// cooldown.
-		st.trial = false
-		st.openUntil = now.Add(b.cfg.Cooldown)
-		b.layer.metrics.BreakerOpens.Add(1)
-		return
-	}
-	st.fails = append(st.fails, now)
-	cutoff := now.Add(-b.cfg.Window)
-	kept := st.fails[:0]
-	for _, at := range st.fails {
-		if at.After(cutoff) {
-			kept = append(kept, at)
-		}
-	}
-	st.fails = kept
-	if len(st.fails) >= b.cfg.Threshold {
-		st.open = true
-		st.trial = false
-		st.openUntil = now.Add(b.cfg.Cooldown)
-		st.fails = nil
-		b.layer.metrics.BreakerOpens.Add(1)
-	}
+	return fmt.Errorf("%w: %w: %s half-open trial already in flight", ErrUnreachable, ErrBreakerOpen, id)
 }
 
-// abandon releases a half-open trial slot whose operation produced no
-// evidence (caller cancellation, shed elsewhere) so the breaker does not
-// stay wedged waiting for a verdict that never comes.
-func (b *breaker) abandon(id string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if st := b.devs[id]; st != nil {
-		st.trial = false
+// recordBreaker feeds one piece of evidence to the device's circuit
+// breaker, counting the opens it causes.
+func (l *Layer) recordBreaker(id string, alive bool) {
+	if l.breaker.Record(id, alive) {
+		l.metrics.BreakerOpens.Add(1)
 	}
-}
-
-// reset clears the device's breaker state entirely — the re-admission
-// path when the failure detector declares the device recovered or it is
-// re-registered.
-func (b *breaker) reset(id string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.devs, id)
-}
-
-// configure swaps the breaker tuning and clears all state.
-func (b *breaker) configure(cfg BreakerConfig) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cfg = cfg.resolve()
-	b.devs = make(map[string]*breakerState)
 }
 
 // ConfigureBreaker replaces the layer's circuit-breaker tuning, clearing
-// any accumulated per-device state.
-func (l *Layer) ConfigureBreaker(cfg BreakerConfig) { l.breaker.configure(cfg) }
+// any accumulated per-device state. Call it before the layer sees
+// concurrent traffic.
+func (l *Layer) ConfigureBreaker(cfg liveness.BreakerConfig) {
+	l.breaker = liveness.NewBreaker(l.clk, cfg)
+}

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aorta/internal/liveness"
 	"aorta/internal/netsim"
 	"aorta/internal/profile"
 	"aorta/internal/vclock"
@@ -233,7 +234,7 @@ type Layer struct {
 	clk     vclock.Clock
 	reg     *profile.Registry
 	pool    *pool
-	breaker *breaker
+	breaker *liveness.Breaker
 
 	// gate and observer hook the failure detector into every pooled
 	// operation; both must be installed (SetGate/SetObserver) before the
@@ -267,7 +268,7 @@ func New(dialer netsim.Dialer, clk vclock.Clock, reg *profile.Registry) *Layer {
 		plans:    make(map[string]*scanPlan),
 	}
 	l.pool = newPool(l, PoolConfig{})
-	l.breaker = newBreaker(l, BreakerConfig{})
+	l.breaker = liveness.NewBreaker(clk, liveness.BreakerConfig{})
 	return l
 }
 
@@ -294,7 +295,7 @@ func (l *Layer) shed(id string) error {
 		l.metrics.GateShed.Add(1)
 		return fmt.Errorf("%w: %w: %s", ErrUnreachable, ErrShed, id)
 	}
-	return l.breaker.allow(id)
+	return l.allowBreaker(id)
 }
 
 // note classifies one finished operation's error into liveness evidence
@@ -305,10 +306,10 @@ func (l *Layer) shed(id string) error {
 func (l *Layer) note(id string, err error) {
 	alive, evidence := classifyEvidence(err)
 	if !evidence {
-		l.breaker.abandon(id)
+		l.breaker.Abandon(id)
 		return
 	}
-	l.breaker.record(id, alive)
+	l.recordBreaker(id, alive)
 	if l.observer != nil {
 		l.observer(id, alive)
 	}
@@ -385,7 +386,7 @@ func (l *Layer) Remove(id string) {
 func (l *Layer) Unregister(id string) {
 	l.Remove(id)
 	l.pool.forget(id)
-	l.breaker.reset(id)
+	l.breaker.Reset(id)
 }
 
 // Readmit clears a device's negative transport state — dial backoff and
@@ -394,7 +395,7 @@ func (l *Layer) Unregister(id string) {
 // after churn.
 func (l *Layer) Readmit(id string) {
 	l.pool.clearBackoff(id)
-	l.breaker.reset(id)
+	l.breaker.Reset(id)
 }
 
 // Device returns the registry entry for id.

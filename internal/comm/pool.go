@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aorta/internal/liveness"
 )
 
 // Pool tuning defaults. All durations are measured on the layer's clock,
@@ -15,11 +17,6 @@ const (
 	// DefaultPoolIdleTTL is how long an unused session survives before the
 	// pool reaps it.
 	DefaultPoolIdleTTL = 60 * time.Second
-	// DefaultDialBackoff is the first suppression window after a failed
-	// dial; consecutive failures double it.
-	DefaultDialBackoff = time.Second
-	// DefaultDialBackoffMax caps the exponential dial backoff.
-	DefaultDialBackoffMax = 60 * time.Second
 )
 
 // ErrBackoff marks an operation that was suppressed by the dial-failure
@@ -44,10 +41,11 @@ type PoolConfig struct {
 	IdleTTL time.Duration
 	// BackoffBase is the first suppression window after a failed dial;
 	// consecutive failures double it up to BackoffMax. 0 selects
-	// DefaultDialBackoff; negative disables the dial-failure cache.
+	// liveness.DefaultBackoffBase; negative disables the dial-failure
+	// cache.
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff (0 selects
-	// DefaultDialBackoffMax).
+	// liveness.DefaultBackoffMax).
 	BackoffMax time.Duration
 }
 
@@ -55,12 +53,6 @@ type PoolConfig struct {
 func (c PoolConfig) resolve() PoolConfig {
 	if c.IdleTTL == 0 {
 		c.IdleTTL = DefaultPoolIdleTTL
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = DefaultDialBackoff
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = DefaultDialBackoffMax
 	}
 	return c
 }
@@ -85,7 +77,9 @@ type pool struct {
 	mu      sync.Mutex
 	cfg     PoolConfig
 	entries map[string]*poolEntry
-	backoff map[string]*backoffState
+	// backoff is the dial-failure cache; the pointer is swapped under mu
+	// when the pool drains.
+	backoff *liveness.Backoff
 	idle    idleList
 }
 
@@ -138,18 +132,12 @@ func (l *idleList) remove(e *poolEntry) {
 	e.idle, e.prev, e.next = false, nil, nil
 }
 
-// backoffState is one dial-failure cache entry.
-type backoffState struct {
-	failures int
-	until    time.Time
-}
-
 func newPool(l *Layer, cfg PoolConfig) *pool {
 	return &pool{
 		layer:   l,
 		cfg:     cfg.resolve(),
 		entries: make(map[string]*poolEntry),
-		backoff: make(map[string]*backoffState),
+		backoff: liveness.NewBackoff(l.clk, cfg.BackoffBase, cfg.BackoffMax),
 	}
 }
 
@@ -251,7 +239,7 @@ func (p *pool) acquire(ctx context.Context, id string) (*poolEntry, *Session, er
 		s.Close()
 		p.mu.Lock()
 	}
-	if wait, suppressed := p.backoffRemainingLocked(id); suppressed {
+	if wait := p.backoff.Remaining(id); wait > 0 {
 		p.releaseLocked(e)
 		m.SuppressedDials.Add(1)
 		p.mu.Unlock()
@@ -266,11 +254,15 @@ func (p *pool) acquire(ctx context.Context, id string) (*poolEntry, *Session, er
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
-		p.noteDialFailureLocked(id, err)
+		// Caller cancellation and unknown devices are not the device's
+		// fault and do not enter backoff.
+		if !errors.Is(err, ErrUnknownDevice) && !errors.Is(err, context.Canceled) {
+			p.backoff.Fail(id)
+		}
 		p.releaseLocked(e)
 		return nil, nil, err
 	}
-	delete(p.backoff, id)
+	p.backoff.Clear(id)
 	e.sess = s
 	e.lastUsed = p.layer.clk.Now()
 	m.PoolMisses.Add(1)
@@ -375,45 +367,6 @@ func (p *pool) makeRoomLocked() []*Session {
 	return victims
 }
 
-// backoffRemainingLocked reports whether id is inside its dial-failure
-// backoff window and, if so, for how much longer.
-func (p *pool) backoffRemainingLocked(id string) (time.Duration, bool) {
-	b := p.backoff[id]
-	if b == nil {
-		return 0, false
-	}
-	wait := b.until.Sub(p.layer.clk.Now())
-	if wait <= 0 {
-		return 0, false
-	}
-	return wait, true
-}
-
-// noteDialFailureLocked records a failed dial in the backoff cache,
-// doubling the suppression window per consecutive failure. Caller
-// cancellation and unknown devices are not the device's fault and do not
-// enter backoff.
-func (p *pool) noteDialFailureLocked(id string, err error) {
-	if p.cfg.BackoffBase < 0 || errors.Is(err, ErrUnknownDevice) || errors.Is(err, context.Canceled) {
-		return
-	}
-	b := p.backoff[id]
-	if b == nil {
-		b = &backoffState{}
-		p.backoff[id] = b
-	}
-	b.failures++
-	shift := b.failures - 1
-	if shift > 16 {
-		shift = 16
-	}
-	window := p.cfg.BackoffBase << uint(shift)
-	if window > p.cfg.BackoffMax || window <= 0 {
-		window = p.cfg.BackoffMax
-	}
-	b.until = p.layer.clk.Now().Add(window)
-}
-
 // forget tears down one device's pool state: its session (if any) is
 // closed and its backoff entry dropped. Borrowed sessions are detached —
 // in-flight operations finish on the dying connection and fail naturally.
@@ -424,7 +377,7 @@ func (p *pool) forget(id string) {
 		victim = e.sess
 		p.evictLocked(e, &p.layer.metrics.PoolDrained)
 	}
-	delete(p.backoff, id)
+	p.backoff.Clear(id)
 	p.mu.Unlock()
 	if victim != nil {
 		victim.Close()
@@ -435,7 +388,7 @@ func (p *pool) forget(id string) {
 // operation dials immediately.
 func (p *pool) clearBackoff(id string) {
 	p.mu.Lock()
-	delete(p.backoff, id)
+	p.backoff.Clear(id)
 	p.mu.Unlock()
 }
 
@@ -450,7 +403,7 @@ func (p *pool) drain() []*Session {
 			p.evictLocked(e, &p.layer.metrics.PoolDrained)
 		}
 	}
-	p.backoff = make(map[string]*backoffState)
+	p.backoff = liveness.NewBackoff(p.layer.clk, p.cfg.BackoffBase, p.cfg.BackoffMax)
 	p.mu.Unlock()
 	return victims
 }
@@ -458,10 +411,10 @@ func (p *pool) drain() []*Session {
 // configure swaps the pool tuning, draining sessions opened under the old
 // configuration.
 func (p *pool) configure(cfg PoolConfig) {
-	closeAll(p.drain())
 	p.mu.Lock()
 	p.cfg = cfg.resolve()
 	p.mu.Unlock()
+	closeAll(p.drain())
 }
 
 func closeAll(victims []*Session) {

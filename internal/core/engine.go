@@ -73,7 +73,7 @@ type Config struct {
 	// DialBackoff is the first suppression window after a device refuses
 	// a dial; consecutive failures double it. While a device is in
 	// backoff, scans and probes skip it without dialing — it simply
-	// contributes no tuple (default comm.DefaultDialBackoff; negative
+	// contributes no tuple (default liveness.DefaultBackoffBase; negative
 	// disables the dial-failure cache).
 	DialBackoff time.Duration
 
@@ -104,13 +104,13 @@ type Config struct {
 
 	// BreakerThreshold is the transport-failure count within
 	// BreakerWindow that opens a device's circuit breaker (default
-	// comm.DefaultBreakerThreshold; negative disables the breaker).
+	// liveness.DefaultBreakerThreshold; negative disables the breaker).
 	BreakerThreshold int
 	// BreakerWindow is the breaker's rolling failure-counting window
-	// (default comm.DefaultBreakerWindow).
+	// (default liveness.DefaultBreakerWindow).
 	BreakerWindow time.Duration
 	// BreakerCooldown is how long an open breaker sheds load before a
-	// half-open trial (default comm.DefaultBreakerCooldown).
+	// half-open trial (default liveness.DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 
 	// DisableLocking turns off the device locking mechanism — the §6.2
@@ -308,7 +308,7 @@ func New(cfg Config) (*Engine, error) {
 		IdleTTL:     cfg.PoolIdleTTL,
 		BackoffBase: cfg.DialBackoff,
 	})
-	layer.ConfigureBreaker(comm.BreakerConfig{
+	layer.ConfigureBreaker(liveness.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
 		Window:    cfg.BreakerWindow,
 		Cooldown:  cfg.BreakerCooldown,

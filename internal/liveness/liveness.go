@@ -1,4 +1,11 @@
-// Package liveness implements Aorta's per-device failure detector.
+// Package liveness is Aorta's health toolkit, shared by the device
+// transport (internal/comm) and the shard router (internal/cluster): a
+// failure Detector with its active HealthProber, a keyed circuit Breaker
+// and a keyed exponential redial Backoff, all on a vclock.Clock. Both
+// callers apply one evidence rule: a success or a transport failure is
+// evidence (Detector.Observe, Breaker.Record); a shed, a closed
+// connection or a caller cancellation is not (Breaker.Abandon, and no
+// backoff step).
 //
 // The paper's testbed assumes a fixed, always-on device population; real
 // pervasive deployments face constant churn — motes brown out, cameras
